@@ -29,9 +29,10 @@ final case class MmaConfig(
   * (the R-tree queries and geometry do not change across epochs).
   */
 final case class MmaSample(
-    norm: Array[Array[Double]],       // l x 3 normalised (x, y, t)
+    norm: Array[Array[Double]],       // l x 7 normalised (x, y, t) + prev/next displacements
     cands: Array[Array[Int]],         // l x <=kc candidate segment ids
-    feats: Array[Array[Double]],      // l x (kc*4) directional cosines
+    feats: Array[Array[Double]],      // l x (kc*11) per candidate: 4 directional cosines,
+                                      //   3 proximities, 4 transition plausibilities
     labels: Array[Array[Double]],     // l x kc class labels (may be all zero)
 ) extends Serializable
 
@@ -55,11 +56,6 @@ final class MmaModel(
 
   // ---- sample preparation (geometry only, no learnable state) ----
 
-  private val minX = net.nodes.map(_.x).min
-  private val maxX = net.nodes.map(_.x).max
-  private val minY = net.nodes.map(_.y).min
-  private val maxY = net.nodes.map(_.y).max
-
   /** Point-sequence input rows: min-max normalised (x, y, t) plus the
     * displacements to the previous/next GPS points (the raw sequence signal
     * the transformer of Eq. 3 consumes).
@@ -72,8 +68,7 @@ final class MmaModel(
         else ((p.x - t.sparse(i - 1).x) / 500.0, (p.y - t.sparse(i - 1).y) / 500.0)
       val (dxn, dyn) = if (i + 1 == t.sparse.length) (0.0, 0.0)
         else ((t.sparse(i + 1).x - p.x) / 500.0, (t.sparse(i + 1).y - p.y) / 500.0)
-      Array((p.x - minX) / math.max(1e-9, maxX - minX),
-            (p.y - minY) / math.max(1e-9, maxY - minY),
+      Array(net.bbox.normX(p.x), net.bbox.normY(p.y),
             (p.t - t.sparse.head.t) / tMax, dxp, dyp, dxn, dyn)
     }.toArray
   }

@@ -67,10 +67,6 @@ final class TrmmaModel(
       transR.params ++ gru.params ++ clsMlp.params ++ clsGeo.params ++
       ratioMlp.params ++ ratioGeo.params
 
-  private val minX = net.nodes.map(_.x).min
-  private val maxX = net.nodes.map(_.x).max
-  private val minY = net.nodes.map(_.y).min
-  private val maxY = net.nodes.map(_.y).max
   private val maxSegLen = net.segments.map(_.lengthM).max
 
   /** Projection ratio of a GPS point onto a segment (Alg. 2 line 4). */
@@ -88,8 +84,7 @@ final class TrmmaModel(
     val tMax = math.max(1e-9, t.sparse.last.t - t.sparse.head.t)
     val coords = t.sparse.indices.map { i =>
       val p = t.sparse(i)
-      Array((p.x - minX) / math.max(1e-9, maxX - minX),
-            (p.y - minY) / math.max(1e-9, maxY - minY),
+      Array(net.bbox.normX(p.x), net.bbox.normY(p.y),
             (p.t - t.sparse.head.t) / tMax,
             projRatio(XY(p.x, p.y), segs(i)))
     }.toArray

@@ -67,16 +67,6 @@ final class RoadNetwork(
     if (noUturn.nonEmpty) noUturn else all
   }
 
-  /** The exact reverse of `segId` (two-way roads), if present. */
-  def reverseOf(segId: Int): Option[Int] = {
-    val s = segments(segId)
-    outSegments(s.to).find(n => segments(n).to == s.from && segments(n).from == s.to)
-  }
-
-  /** Maximum out-degree in the segment graph. */
-  lazy val maxDegree: Int =
-    if (numSegments == 0) 0 else (0 until numSegments).map(nextSegments(_).length).max
-
   /** Planar point at position ratio `r` on segment `segId`. */
   def pointAt(segId: Int, r: Double): XY = {
     val s = segments(segId)
@@ -89,8 +79,11 @@ final class RoadNetwork(
   /** Top-`k` nearest segments to planar point `p` by perpendicular distance. */
   def nearestSegments(p: XY, k: Int): Array[Int] = rtree.nearest(p, k)
 
-  /** Total length of all segments, metres. */
-  lazy val totalLengthM: Double = segments.map(_.lengthM).sum
+  /** Bounding box of the intersections; the min-max normaliser of every
+    * model's coordinate inputs.
+    */
+  lazy val bbox: MBR =
+    MBR(nodes.map(_.x).min, nodes.map(_.y).min, nodes.map(_.x).max, nodes.map(_.y).max)
 }
 
 object RoadNetwork {

@@ -14,7 +14,8 @@ import scala.collection.mutable
   * where P is the add-one-smoothed empirical transition probability. The
   * length term keeps routes geometrically sane on transitions never seen in
   * training; `beta` (metres per nat) trades statistics against geometry.
-  * Falls back to the pure shortest path when the statistical search fails.
+  * The search is exhaustive, so it fails only when `to` is unreachable from
+  * `from`; the plan then "jumps" straight to `to`.
   *
   * Both our methods (MMA / TRMMA) and every baseline that needs a route-
   * planning subroutine use this same planner, mirroring the paper's
@@ -45,7 +46,6 @@ final class RoutePlanner(
     ShortestPath
       .segmentSearch(net, from, to,
         (cur, next) => net.segments(next).lengthM + beta * negLogProb(cur, next))
-      .orElse(ShortestPath.segmentRoute(net, from, to))
       .getOrElse(List(to)) // disconnected fallback: jump straight to `to`
   }
 

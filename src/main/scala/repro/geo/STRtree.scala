@@ -15,6 +15,12 @@ final case class MBR(minX: Double, minY: Double, maxX: Double, maxY: Double) ext
   }
   def centerX: Double = (minX + maxX) / 2
   def centerY: Double = (minY + maxY) / 2
+  /** Min-max normalised coordinates: 0 at the min edge, 1 at the max edge. */
+  def normX(x: Double): Double = (x - minX) / math.max(1e-9, maxX - minX)
+  def normY(y: Double): Double = (y - minY) / math.max(1e-9, maxY - minY)
+  /** Inverse of `normX`/`normY` (for a box of non-zero extent). */
+  def denormX(v: Double): Double = v * (maxX - minX) + minX
+  def denormY(v: Double): Double = v * (maxY - minY) + minY
 }
 
 /** An STR-packed (Sort-Tile-Recursive, Leutenegger et al. [ICDE'97]) R-tree
@@ -110,11 +116,10 @@ object STRtree {
     val n = entries.length
     val nNodes = math.ceil(n.toDouble / Capacity).toInt
     val nSlices = math.max(1, math.ceil(math.sqrt(nNodes.toDouble)).toInt)
-    val sliceSize = math.max(1, math.ceil(n.toDouble / nSlices).toInt) * 1 // entries per vertical slice
-    val perSlice = sliceSize
+    val sliceSize = math.max(1, math.ceil(n.toDouble / nSlices).toInt) // entries per vertical slice
     val byX = entries.sortBy(_._1.centerX)
     val out = mutable.ArrayBuffer.empty[N]
-    byX.grouped(perSlice).foreach { slice =>
+    byX.grouped(sliceSize).foreach { slice =>
       slice.sortBy(_._1.centerY).grouped(Capacity).foreach { grp =>
         val mbr = grp.map(_._1).reduce(_ union _)
         out += mk(mbr, grp.map(_._2).toArray)

@@ -1,110 +1,172 @@
 package repro.geo
 
-import java.util.PriorityQueue
 import scala.collection.mutable
 
-/** Shortest-path primitives over a [[RoadNetwork]]: node-level Dijkstra,
-  * point-to-point A* with early exit, and the road-network distance between
-  * two map-matched points used by the MAE/RMSE recovery metrics.
+/** Shortest-path primitives over a [[RoadNetwork]], all served by one
+  * best-first search (`search`) on one of two graphs:
+  *   - the node graph (vertices are intersections, arcs are `outSegments`,
+  *     an arc costs its length): bounded Dijkstra, point-to-point A* and the
+  *     road-network distance between map-matched points used by the MAE/RMSE
+  *     recovery metrics and the HMM transitions;
+  *   - the segment graph (vertices are segments, arcs are `nextSegments`,
+  *     an arc costs `max(1e-9, cost(cur, next))`): the route planner.
   */
 object ShortestPath {
 
   private final val Inf = Double.PositiveInfinity
 
-  /** Node-level Dijkstra from `src`; distances capped at `maxDist` (nodes
-    * farther than that keep +inf). O((m + n) log n).
+  /** Binary min-heap of (key, vertex) over primitive arrays. Its sift-up and
+    * sift-down are those of `java.util.PriorityQueue`, so entries with equal
+    * keys pop in exactly the order that queue would pop them.
     */
-  def dijkstra(net: RoadNetwork, src: Int, maxDist: Double = Inf): Array[Double] = {
-    val dist = Array.fill(net.numNodes)(Inf)
-    dist(src) = 0.0
-    val pq = new PriorityQueue[(Double, Int)](11,
-      (a: (Double, Int), b: (Double, Int)) => java.lang.Double.compare(a._1, b._1))
-    pq.add((0.0, src))
-    while (!pq.isEmpty) {
-      val (d, u) = pq.poll()
-      if (d <= dist(u) && d <= maxDist) {
-        net.outSegments(u).foreach { sid =>
-          val s = net.segments(sid)
-          val nd = d + s.lengthM
-          if (nd < dist(s.to)) { dist(s.to) = nd; pq.add((nd, s.to)) }
-        }
+  private[geo] final class MinHeap {
+    private var keys = new Array[Double](16)
+    private var vals = new Array[Int](16)
+    private var n = 0
+
+    def isEmpty: Boolean = n == 0
+
+    def push(key: Double, v: Int): Unit = {
+      if (n == keys.length) {
+        keys = java.util.Arrays.copyOf(keys, 2 * n)
+        vals = java.util.Arrays.copyOf(vals, 2 * n)
       }
+      var k = n
+      n += 1
+      var done = false
+      while (k > 0 && !done) {
+        val parent = (k - 1) >>> 1
+        if (java.lang.Double.compare(key, keys(parent)) >= 0) done = true
+        else { keys(k) = keys(parent); vals(k) = vals(parent); k = parent }
+      }
+      keys(k) = key; vals(k) = v
     }
-    dist
+
+    /** Removes the entry with the least key and returns its vertex. */
+    def pop(): Int = {
+      val top = vals(0)
+      n -= 1
+      val key = keys(n); val v = vals(n)
+      var k = 0
+      val half = n >>> 1
+      var done = false
+      while (k < half && !done) {
+        var child = 2 * k + 1
+        val right = child + 1
+        if (right < n && java.lang.Double.compare(keys(child), keys(right)) > 0) child = right
+        if (java.lang.Double.compare(key, keys(child)) <= 0) done = true
+        else { keys(k) = keys(child); vals(k) = vals(child); k = child }
+      }
+      if (n > 0) { keys(k) = key; vals(k) = v }
+      top
+    }
   }
 
-  /** A* shortest path length from node `src` to node `dst` with the planar
-    * straight-line heuristic (admissible: every segment's length is its
-    * chord). Returns +inf if unreachable.
+  /** Final state of a search: `dist(v)` is the best cost found to `v`
+    * (+inf if never reached); `parent(v)` is the segment `v` was reached
+    * by: the entering segment on the node graph, the previous segment on
+    * the segment graph.
     */
-  def aStar(net: RoadNetwork, src: Int, dst: Int): Double = {
-    if (src == dst) return 0.0
-    val goal = net.nodes(dst)
-    val g = mutable.HashMap.empty[Int, Double]
-    g(src) = 0.0
-    val pq = new PriorityQueue[(Double, Int)](11,
-      (a: (Double, Int), b: (Double, Int)) => java.lang.Double.compare(a._1, b._1))
-    pq.add((net.nodes(src).dist(goal), src))
-    val done = mutable.HashSet.empty[Int]
-    while (!pq.isEmpty) {
-      val (_, u) = pq.poll()
-      if (u == dst) return g(u)
-      if (!done.contains(u)) {
-        done += u
-        val gu = g(u)
-        net.outSegments(u).foreach { sid =>
-          val s = net.segments(sid)
-          val ng = gu + s.lengthM
-          if (ng < g.getOrElse(s.to, Inf)) {
-            g(s.to) = ng
-            pq.add((ng + net.nodes(s.to).dist(goal), s.to))
+  private final class Search(size: Int) {
+    val dist: Array[Double] = Array.fill(size)(Inf)
+    val parent: Array[Int] = Array.fill(size)(-1)
+    var reachedGoal = false
+  }
+
+  /** The one best-first search. Vertices pop in order of `dist + h`; the
+    * search stops when `goal` pops; otherwise a vertex is expanded once,
+    * and only while its distance is `<= maxDist`. Relaxation is strict `<`
+    * and may lower a closed vertex without reopening it. With `h` zero this
+    * is Dijkstra; with an admissible `h` it is A*.
+    */
+  private def search(
+      net: RoadNetwork,
+      onSegments: Boolean,
+      src: Int,
+      goal: Int = -1,
+      maxDist: Double = Inf,
+      cost: (Int, Int) => Double = null,
+      h: Int => Double = _ => 0.0,
+  ): Search = {
+    val size = if (onSegments) net.numSegments else net.numNodes
+    val st = new Search(size)
+    val dist = st.dist
+    val closed = new Array[Boolean](size)
+    val heap = new MinHeap
+    dist(src) = 0.0
+    heap.push(h(src), src)
+    while (!heap.isEmpty && !st.reachedGoal) {
+      val u = heap.pop()
+      if (u == goal) st.reachedGoal = true
+      else if (!closed(u) && dist(u) <= maxDist) {
+        closed(u) = true
+        val d = dist(u)
+        val arcs = if (onSegments) net.nextSegments(u) else net.outSegments(u)
+        var i = 0
+        while (i < arcs.length) {
+          val a = arcs(i)
+          val v = if (onSegments) a else net.segments(a).to
+          val nd = d + (if (onSegments) math.max(1e-9, cost(u, a)) else net.segments(a).lengthM)
+          if (nd < dist(v)) {
+            dist(v) = nd
+            st.parent(v) = if (onSegments) u else a
+            heap.push(nd + h(v), v)
           }
+          i += 1
         }
       }
     }
-    Inf
+    st
   }
+
+  /** Node-level Dijkstra from `src`. Nodes are expanded while their
+    * distance is `<= maxDist`; a node more than `maxDist` away keeps +inf
+    * unless it is one segment beyond an expanded node.
+    */
+  def dijkstra(net: RoadNetwork, src: Int, maxDist: Double = Inf): Array[Double] =
+    search(net, onSegments = false, src, maxDist = maxDist).dist
+
+  /** Node-level A* from `src` towards `dst` with the planar straight-line
+    * heuristic (admissible: every segment's length is its chord).
+    */
+  private def nodeAStar(net: RoadNetwork, src: Int, dst: Int): Search = {
+    val goal = net.nodes(dst)
+    search(net, onSegments = false, src, goal = dst, h = v => net.nodes(v).dist(goal))
+  }
+
+  /** A* shortest path length from node `src` to node `dst`. Returns +inf if
+    * unreachable.
+    */
+  def aStar(net: RoadNetwork, src: Int, dst: Int): Double = nodeAStar(net, src, dst).dist(dst)
 
   /** Shortest node path from `src` to `dst` as the list of traversed
-    * segment ids (A* with parent pointers). None when unreachable.
+    * segment ids. None when unreachable.
     */
   def nodePathSegments(net: RoadNetwork, src: Int, dst: Int): Option[List[Int]] = {
-    if (src == dst) return Some(Nil)
-    val goal = net.nodes(dst)
-    val g = mutable.HashMap.empty[Int, Double]
-    val prevSeg = mutable.HashMap.empty[Int, Int] // node -> incoming segment
-    g(src) = 0.0
-    val pq = new PriorityQueue[(Double, Int)](11,
-      (a: (Double, Int), b: (Double, Int)) => java.lang.Double.compare(a._1, b._1))
-    pq.add((net.nodes(src).dist(goal), src))
-    val done = mutable.HashSet.empty[Int]
-    while (!pq.isEmpty) {
-      val (_, u) = pq.poll()
-      if (u == dst) {
-        var path = List.empty[Int]
-        var cur = dst
-        while (cur != src) {
-          val sid = prevSeg(cur)
-          path = sid :: path
-          cur = net.segments(sid).from
-        }
-        return Some(path)
-      }
-      if (!done.contains(u)) {
-        done += u
-        val gu = g(u)
-        net.outSegments(u).foreach { sid =>
-          val s = net.segments(sid)
-          val ng = gu + s.lengthM
-          if (ng < g.getOrElse(s.to, Inf)) {
-            g(s.to) = ng
-            prevSeg(s.to) = sid
-            pq.add((ng + net.nodes(s.to).dist(goal), s.to))
-          }
-        }
-      }
+    val st = nodeAStar(net, src, dst)
+    if (!st.reachedGoal) return None
+    var path = List.empty[Int]
+    var cur = dst
+    while (cur != src) {
+      val sid = st.parent(cur)
+      path = sid :: path
+      cur = net.segments(sid).from
     }
-    None
+    Some(path)
+  }
+
+  /** Least-cost route in the segment graph from segment `from` to segment
+    * `to` with per-transition cost `cost(curSeg, nextSeg)`: the segments
+    * AFTER `from` up to and including `to` (empty if `from == to`). None
+    * when `to` is unreachable.
+    */
+  def segmentSearch(net: RoadNetwork, from: Int, to: Int, cost: (Int, Int) => Double): Option[List[Int]] = {
+    val st = search(net, onSegments = true, from, goal = to, cost = cost)
+    if (!st.reachedGoal) return None
+    var path = List.empty[Int]
+    var cur = to
+    while (cur != from) { path = cur :: path; cur = st.parent(cur) }
+    Some(path)
   }
 
   /** Memoising node-to-node distance helper for metric computation. One
@@ -145,54 +207,5 @@ object ShortestPath {
       val d = math.min(ab, ba)
       if (d.isInfinite) net.pointAt(segA, rA).dist(net.pointAt(segB, rB)) else d
     }
-  }
-
-  /** Shortest segment-level route from segment `from` to segment `to`:
-    * the sequence of segments AFTER `from` up to and including `to`
-    * (empty if `from == to`). Costs are successor-segment lengths. Returns
-    * None when unreachable within `maxHops` expansions.
-    */
-  def segmentRoute(net: RoadNetwork, from: Int, to: Int, maxHops: Int = 200): Option[List[Int]] =
-    segmentSearch(net, from, to, (_, nid) => net.segments(nid).lengthM, maxHops)
-
-  /** Generic least-cost search in the segment graph with per-transition cost
-    * `cost(curSeg, nextSeg)`; shared by the shortest-path route and the
-    * statistics-weighted planner.
-    */
-  def segmentSearch(
-      net: RoadNetwork,
-      from: Int,
-      to: Int,
-      cost: (Int, Int) => Double,
-      maxHops: Int = 200,
-  ): Option[List[Int]] = {
-    if (from == to) return Some(Nil)
-    val dist = mutable.HashMap.empty[Int, Double]
-    val prev = mutable.HashMap.empty[Int, Int]
-    dist(from) = 0.0
-    val pq = new PriorityQueue[(Double, Int)](11,
-      (a: (Double, Int), b: (Double, Int)) => java.lang.Double.compare(a._1, b._1))
-    pq.add((0.0, from))
-    var expansions = 0
-    while (!pq.isEmpty && expansions < maxHops * 64) {
-      val (d, u) = pq.poll()
-      if (u == to) {
-        // Reconstruct path of segments excluding `from`.
-        var path = List.empty[Int]
-        var cur = to
-        while (cur != from) { path = cur :: path; cur = prev(cur) }
-        return Some(path)
-      }
-      if (d <= dist.getOrElse(u, Inf)) {
-        expansions += 1
-        net.nextSegments(u).foreach { v =>
-          val nd = d + math.max(1e-9, cost(u, v))
-          if (nd < dist.getOrElse(v, Inf)) {
-            dist(v) = nd; prev(v) = u; pq.add((nd, v))
-          }
-        }
-      }
-    }
-    None
   }
 }

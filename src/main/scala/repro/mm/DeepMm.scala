@@ -20,16 +20,11 @@ final class DeepMmModel(
 
   def params: Seq[Tensor] = encFc.params ++ encoder.params ++ segOut.params
 
-  private val minX = net.nodes.map(_.x).min
-  private val maxX = net.nodes.map(_.x).max
-  private val minY = net.nodes.map(_.y).min
-  private val maxY = net.nodes.map(_.y).max
-
   def features(t: Traj): Array[Array[Double]] = {
     val tMax = math.max(1e-9, t.sparse.last.t - t.sparse.head.t)
     t.sparse.map(p => Array(
-      (p.x - minX) / math.max(1e-9, maxX - minX),
-      (p.y - minY) / math.max(1e-9, maxY - minY),
+      net.bbox.normX(p.x),
+      net.bbox.normY(p.y),
       (p.t - t.sparse.head.t) / tMax))
   }
 

@@ -1,6 +1,6 @@
 package repro.mm
 
-import repro.geo.{Geo, RoadNetwork, RoutePlanner, ShortestPath, XY}
+import repro.geo.{RoadNetwork, RoutePlanner, XY}
 import repro.traj.{MatchedRoute, Traj}
 
 /** FMM-style HMM map matching (paper ref [28], after Newson & Krumm).
@@ -10,7 +10,7 @@ import repro.traj.{MatchedRoute, Traj}
   * Transition: exponential in the absolute difference between the road-
   * network distance of the projected points and their straight-line
   * distance (the Newson-Krumm "route plausibility" term). Decoded with
-  * Viterbi; the resulting per-point segments are stitched by the shared
+  * [[Viterbi]]; the resulting per-point segments are stitched by the shared
   * planner.
   *
   * Also reused to label `TRMMA-HMM` in the Table IV ablation.
@@ -25,7 +25,6 @@ final class HmmMatcher(
   val name = "FMM"
 
   def matchPoints(t: Traj): Array[Int] = {
-    val cache = new ShortestPath.DistCache(net)
     val pts = t.sparse.map(p => XY(p.x, p.y))
     val cands = pts.map(p => net.nearestSegments(p, k))
     val emit = Array.tabulate(pts.length) { i =>
@@ -34,44 +33,7 @@ final class HmmMatcher(
         -d * d / (2 * sigmaM * sigmaM)
       }
     }
-    // Viterbi.
-    val score = Array.tabulate(pts.length)(i => new Array[Double](cands(i).length))
-    val back = Array.tabulate(pts.length)(i => new Array[Int](cands(i).length))
-    score(0) = emit(0).clone()
-    var i = 1
-    while (i < pts.length) {
-      val gc = pts(i - 1).dist(pts(i))
-      var j = 0
-      while (j < cands(i).length) {
-        val sj = cands(i)(j)
-        val rj = Geo.projectRatio(pts(i), net.segments(sj).a, net.segments(sj).b)
-        var best = Double.NegativeInfinity
-        var bestK = 0
-        var kk = 0
-        while (kk < cands(i - 1).length) {
-          val sk = cands(i - 1)(kk)
-          val rk = Geo.projectRatio(pts(i - 1), net.segments(sk).a, net.segments(sk).b)
-          val dRoute = cache.directedDist(sk, rk, sj, rj)
-          val trans = -math.abs(dRoute - gc) / betaM
-          val s = score(i - 1)(kk) + trans
-          if (s > best) { best = s; bestK = kk }
-          kk += 1
-        }
-        score(i)(j) = best + emit(i)(j)
-        back(i)(j) = bestK
-        j += 1
-      }
-      i += 1
-    }
-    val out = new Array[Int](pts.length)
-    var cur = score(pts.length - 1).indices.maxBy(score(pts.length - 1))
-    i = pts.length - 1
-    while (i >= 0) {
-      out(i) = cands(i)(cur)
-      if (i > 0) cur = back(i)(cur)
-      i -= 1
-    }
-    out
+    Viterbi.decode(net, pts, cands, emit, betaM)
   }
 
   def matchTraj(t: Traj): MatchedRoute = {

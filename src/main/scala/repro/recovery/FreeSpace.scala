@@ -18,15 +18,6 @@ abstract class FreeSpaceModel(
     val epsilon: Double,
 ) extends Module {
 
-  protected val minX = net.nodes.map(_.x).min
-  protected val maxX = net.nodes.map(_.x).max
-  protected val minY = net.nodes.map(_.y).min
-  protected val maxY = net.nodes.map(_.y).max
-  protected def nx(x: Double) = (x - minX) / math.max(1e-9, maxX - minX)
-  protected def ny(y: Double) = (y - minY) / math.max(1e-9, maxY - minY)
-  protected def unx(v: Double) = v * (maxX - minX) + minX
-  protected def uny(v: Double) = v * (maxY - minY) + minY
-
   /** Slot times of the dense timeline, from observable timestamps. */
   def slotTimes(t: Traj): Array[Double] = {
     val times = mutable.ArrayBuffer.empty[Double]
@@ -61,7 +52,7 @@ abstract class FreeSpaceModel(
       val p = observedAt.get(key) match {
         case Some(i) => XY(t.sparse(i).x, t.sparse(i).y) // observed: snap the GPS point
         case None =>
-          val raw = XY(unx(xy(j, 0)), uny(xy(j, 1)))
+          val raw = XY(net.bbox.denormX(xy(j, 0)), net.bbox.denormY(xy(j, 1)))
           val lin = interp(t, times(j))
           XY(raw.x * blend + lin.x * (1 - blend), raw.y * blend + lin.y * (1 - blend))
       }
@@ -87,7 +78,7 @@ abstract class FreeSpaceModel(
     val target = new Array[Double](2 * t.dense.length)
     t.dense.indices.foreach { j =>
       val p = net.pointAt(t.dense(j).seg, t.dense(j).r)
-      target(2 * j) = nx(p.x); target(2 * j + 1) = ny(p.y)
+      target(2 * j) = net.bbox.normX(p.x); target(2 * j + 1) = net.bbox.normY(p.y)
     }
     Ops.scale(Ops.mseSum(xy, target), 1.0 / t.dense.length)
   }
@@ -130,12 +121,12 @@ final class DhtrModel(
   def predictXY(t: Traj, times: Array[Double])(implicit tp: Tape): Tensor = {
     val tMax = math.max(1e-9, t.sparse.last.t - t.sparse.head.t)
     val feats = t.sparse.map(p =>
-      Array(nx(p.x), ny(p.y), (p.t - t.sparse.head.t) / tMax))
+      Array(net.bbox.normX(p.x), net.bbox.normY(p.y), (p.t - t.sparse.head.t) / tMax))
     val enc = encoder(encFc(Tensor.fromRows(feats.toIndexedSeq)))
     val rows = times.map { tt =>
       val lin = interp(t, tt)
       val q = queryFc(new Tensor(1, 3,
-        Array(nx(lin.x), ny(lin.y), (tt - t.sparse.head.t) / tMax)))
+        Array(net.bbox.normX(lin.x), net.bbox.normY(lin.y), (tt - t.sparse.head.t) / tMax)))
       val scores = Ops.matmul(q, Ops.transpose(enc))
       val ctx = Ops.matmul(Ops.softmaxRows(scores), enc)
       Ops.sigmoid(head(Ops.concatCols(q, ctx)))
@@ -175,11 +166,11 @@ final class TeriModel(
   def predictXY(t: Traj, times: Array[Double])(implicit tp: Tape): Tensor = {
     val tMax = math.max(1e-9, t.sparse.last.t - t.sparse.head.t)
     val feats = t.sparse.map(p =>
-      Array(nx(p.x), ny(p.y), (p.t - t.sparse.head.t) / tMax))
+      Array(net.bbox.normX(p.x), net.bbox.normY(p.y), (p.t - t.sparse.head.t) / tMax))
     val enc = encoder(encFc(Tensor.fromRows(feats.toIndexedSeq)))
     val queries = times.map { tt =>
       val lin = interp(t, tt)
-      Array(nx(lin.x), ny(lin.y), (tt - t.sparse.head.t) / tMax)
+      Array(net.bbox.normX(lin.x), net.bbox.normY(lin.y), (tt - t.sparse.head.t) / tMax)
     }
     val q = queryFc(Tensor.fromRows(queries.toIndexedSeq))
     val ctx = cross(q, enc)

@@ -75,13 +75,6 @@ final class SeqRecModel(
       attnProj.params ++ clsProj.params ++ geoMlp.params ++ ratioMlp.params
   }
 
-  private val minX = net.nodes.map(_.x).min
-  private val maxX = net.nodes.map(_.x).max
-  private val minY = net.nodes.map(_.y).min
-  private val maxY = net.nodes.map(_.y).max
-  private def nx(x: Double) = (x - minX) / math.max(1e-9, maxX - minX)
-  private def ny(y: Double) = (y - minY) / math.max(1e-9, maxY - minY)
-
   /** Per-point encoder features, depending on `kind`. */
   private def pointFeats(t: Traj, i: Int, nearSeg: Int): Array[Double] = {
     val p = t.sparse(i)
@@ -93,7 +86,7 @@ final class SeqRecModel(
         val q = t.sparse(i - 1)
         ((p.t - q.t) / tMax, math.hypot(p.x - q.x, p.y - q.y) / 3000.0)
       }
-    val base = Array(nx(p.x), ny(p.y), tn, dt, dist)
+    val base = Array(net.bbox.normX(p.x), net.bbox.normY(p.y), tn, dt, dist)
     val n2v = (0 until cfg.d0).map(j => node2vec(nearSeg, j)).toArray
     cfg.kind match {
       case "mtrajrec" => base

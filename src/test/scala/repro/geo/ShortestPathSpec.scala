@@ -69,30 +69,93 @@ class ShortestPathSpec extends AnyFunSuite {
     }
   }
 
-  test("segmentRoute connects adjacent segments directly") {
-    val s0 = net.segments(0)
+  test("nodePathSegments is a contiguous chain of Floyd-Warshall length") {
+    val rnd = new Random(23)
+    (1 to 60).foreach { _ =>
+      val a = rnd.nextInt(net.numNodes); val b = rnd.nextInt(net.numNodes)
+      val path = ShortestPath.nodePathSegments(net, a, b)
+      assert(path.isDefined, s"$a->$b")
+      var at = a
+      path.get.foreach { sid =>
+        assert(net.segments(sid).from == at, s"$a->$b: segment $sid does not leave node $at")
+        at = net.segments(sid).to
+      }
+      assert(at == b)
+      assert(math.abs(path.get.map(net.segments(_).lengthM).sum - fw(a)(b)) < 1e-6, s"$a->$b")
+    }
+  }
+
+  test("nodePathSegments from a node to itself is empty") {
+    assert(ShortestPath.nodePathSegments(net, 4, 4).contains(Nil))
+  }
+
+  // Segment-graph distances by Bellman-Ford: cost of a step is the length of
+  // the segment stepped onto, the cost `shortestPathOnly` plans with.
+  private def bellmanFord(src: Int): Array[Double] = {
+    val d = Array.fill(net.numSegments)(Double.PositiveInfinity)
+    d(src) = 0.0
+    (1 until net.numSegments).foreach { _ =>
+      (0 until net.numSegments).foreach { u =>
+        if (d(u).isFinite) net.nextSegments(u).foreach { v =>
+          d(v) = math.min(d(v), d(u) + net.segments(v).lengthM)
+        }
+      }
+    }
+    d
+  }
+
+  private lazy val shortest = RoutePlanner.shortestPathOnly(net)
+
+  test("shortestPathOnly plan costs what Bellman-Ford finds on the segment graph") {
+    val rnd = new Random(29)
+    (1 to 12).foreach { _ =>
+      val a = rnd.nextInt(net.numSegments)
+      val bf = bellmanFord(a)
+      (1 to 5).foreach { _ =>
+        val b = rnd.nextInt(net.numSegments)
+        val cost = shortest.plan(a, b).map(net.segments(_).lengthM).sum
+        assert(math.abs(cost - bf(b)) < 1e-6, s"$a->$b")
+      }
+    }
+  }
+
+  test("shortestPathOnly plan connects adjacent segments directly") {
     val next = net.nextSegments(0)
     assume(next.nonEmpty)
-    val r = ShortestPath.segmentRoute(net, 0, next.head)
-    assert(r.contains(List(next.head)))
+    assert(shortest.plan(0, next.head) == List(next.head))
   }
 
-  test("segmentRoute from a segment to itself is empty") {
-    assert(ShortestPath.segmentRoute(net, 3, 3).contains(Nil))
+  test("shortestPathOnly plan from a segment to itself is empty") {
+    assert(shortest.plan(3, 3) == Nil)
+    assert(ShortestPath.segmentSearch(net, 3, 3, (_, _) => 1.0).contains(Nil))
   }
 
-  test("segmentRoute forms a connected chain") {
+  test("shortestPathOnly plan forms a connected chain") {
     val rnd = new Random(13)
     (1 to 30).foreach { _ =>
       val a = rnd.nextInt(net.numSegments); val b = rnd.nextInt(net.numSegments)
-      ShortestPath.segmentRoute(net, a, b).foreach { path =>
-        val full = a :: path
-        full.sliding(2).foreach {
-          case List(x, y) => assert(net.nextSegments(x).contains(y), s"$x !-> $y")
-          case _          => ()
-        }
-        if (a != b) assert(full.last == b)
+      val full = a :: shortest.plan(a, b)
+      full.sliding(2).foreach {
+        case List(x, y) => assert(net.nextSegments(x).contains(y), s"$x !-> $y")
+        case _          => ()
       }
+      assert(full.last == b)
     }
+  }
+
+  test("the search heap pops equal keys in java.util.PriorityQueue order") {
+    val rnd = new Random(31)
+    val heap = new ShortestPath.MinHeap
+    val ref = new java.util.PriorityQueue[(Double, Int)](11,
+      (x: (Double, Int), y: (Double, Int)) => java.lang.Double.compare(x._1, y._1))
+    var next = 0
+    (1 to 2000).foreach { _ =>
+      if (ref.isEmpty || rnd.nextDouble() < 0.6) {
+        val key = rnd.nextInt(8).toDouble // few distinct keys: many ties
+        heap.push(key, next); ref.add((key, next)); next += 1
+      } else assert(heap.pop() == ref.poll()._2)
+    }
+    while (!ref.isEmpty) assert(heap.pop() == ref.poll()._2)
+    assert(heap.isEmpty)
   }
 }
